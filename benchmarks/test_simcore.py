@@ -15,7 +15,9 @@ Both policies must produce identical completion/abort counts — the
 benchmark doubles as a coarse equivalence check (the fine-grained one
 lives in ``tests/net/test_flow_batching.py``).  A third workload pits
 the numpy water-filling kernel against the python reference at a scale
-where components are large enough for the arrays to pay off.  Results
+where components are large enough for the arrays to pay off, and a
+fourth times both kernels per component size on captured settle
+components to locate their crossover.  Results
 land in the ``BENCH_simcore.json`` trajectory at the repo root, which
 the CI bench gate checks against the committed baseline on every PR.
 """
@@ -31,7 +33,11 @@ import pytest
 from benchmarks._results import record_results
 from repro.core.config import SystemConfig
 from repro.faults.spec import EdgeBrownout, LinkDegradation, PeerChurnStorm
-from repro.net.flows import FlowNetwork, Resource
+from repro.experiments.common import standard_config
+from repro.net.flows import (
+    _VECTOR_MIN_FLOWS, Flow, FlowNetwork, Resource, _max_min_fair,
+    _VectorWaterfill,
+)
 from repro.net.links import mbps
 from repro.net.sim import Simulator
 from repro.workload import (
@@ -182,6 +188,132 @@ def test_swarm_burst_kernels():
     assert speedup >= 1.5, (
         f"numpy kernel only {speedup:.2f}x vs python (bar: 1.5x)"
     )
+
+
+# ------------------------------------------------------------ kernel cutover
+
+#: Lower edges of the component-size buckets the crossover is timed over.
+_BUCKET_EDGES = (1, 8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512,
+                 768, 1024)
+
+#: Components kept per bucket and source, and timing repeats per component.
+_PER_BUCKET = 40
+_REPEATS = 3
+
+
+def _bucket(size: int) -> int:
+    return max(edge for edge in _BUCKET_EDGES if edge <= size)
+
+
+def _capture_components(monkeypatch, run):
+    """Settle unions ``run`` hands the kernels, frozen and bucketed by size.
+
+    Each captured union is copied into fresh :class:`Flow` /
+    :class:`Resource` objects with the caps and capacities of that
+    instant, so later mutations of the live network cannot change it.
+    Returns the buckets and the largest union seen, captured or not.
+    """
+    captured: dict[int, list[list[Flow]]] = {}
+    largest = [0]
+    settle = FlowNetwork._waterfill
+
+    def capture(net, ordered):
+        largest[0] = max(largest[0], len(ordered))
+        kept = captured.setdefault(_bucket(len(ordered)), [])
+        if len(kept) < _PER_BUCKET:
+            copies: dict[int, Resource] = {}
+            kept.append([
+                Flow(f.flow_id, tuple(
+                    copies.setdefault(id(r), Resource(r.name, r.capacity))
+                    for r in f.resources),
+                    f.size, f.cap, None, None, 0.0)
+                for f in ordered])
+        return settle(net, ordered)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FlowNetwork, "_waterfill", capture)
+        run()
+    return captured, largest[0]
+
+
+def _time_kernel(solve, components) -> float:
+    """Mean microseconds per component, best of :data:`_REPEATS` each."""
+    total = 0.0
+    for ordered in components:
+        best = float("inf")
+        for _ in range(_REPEATS):
+            started = time.perf_counter()
+            solve(ordered)
+            best = min(best, time.perf_counter() - started)
+        total += best
+    return 1e6 * total / len(components)
+
+
+def test_kernel_crossover(monkeypatch):
+    """Evidence for ``_VECTOR_MIN_FLOWS``: both kernels per component size.
+
+    Settle components are captured from the seed-42 small trace (the
+    workload every small-scale table reads) and from the 300-peer swarm
+    burst (the scale the numpy kernel exists for), bucketed by flow count,
+    and timed on both kernels.  The measured crossover is the smallest
+    bucket from which the numpy kernel wins in every larger bucket.  The
+    table and the constant in force are recorded in ``BENCH_simcore.json``;
+    the only assertion is exact rate equality between the kernels on
+    every captured component, so the bench cannot flake on timing.
+    """
+    sources = {
+        "trace_small": _capture_components(
+            monkeypatch, lambda: run_scenario(standard_config("small", 42))),
+        "swarm_burst_300": _capture_components(
+            monkeypatch, lambda: _run_swarm_burst(
+                batching=True, n=300, horizon=1800.0, starts=27, aborts=18,
+                caps=12)),
+    }
+    vector = _VectorWaterfill()
+    buckets: dict[int, dict] = {}
+    for source, (captured, _largest) in sources.items():
+        for edge, components in captured.items():
+            for ordered in components:
+                want = _max_min_fair(ordered)
+                got = vector.solve(ordered)
+                assert [got[f] for f in ordered] == [want[f] for f in ordered]
+            row = buckets.setdefault(edge, {"components": 0, "python_us": 0.0,
+                                            "numpy_us": 0.0})
+            n = len(components)
+            row["python_us"] += n * _time_kernel(_max_min_fair, components)
+            row["numpy_us"] += n * _time_kernel(vector.solve, components)
+            row["components"] += n
+            row.setdefault("sources", []).append(source)
+
+    table = []
+    for edge in sorted(buckets):
+        row = buckets[edge]
+        n = row["components"]
+        table.append({
+            "min_flows": edge, "components": n, "sources": row["sources"],
+            "python_us": round(row["python_us"] / n, 1),
+            "numpy_us": round(row["numpy_us"] / n, 1),
+        })
+    crossover = None
+    for entry in reversed(table):
+        if entry["numpy_us"] >= entry["python_us"]:
+            break
+        crossover = entry["min_flows"]
+    RESULTS["kernel_crossover"] = {
+        "buckets": table,
+        "measured_crossover": crossover,
+        "vector_min_flows": _VECTOR_MIN_FLOWS,
+        "largest_union": {source: largest
+                          for source, (_captured, largest) in sources.items()},
+        "per_bucket": _PER_BUCKET,
+        "repeats": _REPEATS,
+    }
+    for entry in table:
+        print(f"{entry['min_flows']:>5}+ flows  n={entry['components']:>3}  "
+              f"python {entry['python_us']:>9.1f} us  "
+              f"numpy {entry['numpy_us']:>9.1f} us")
+    print(f"measured crossover {crossover}, _VECTOR_MIN_FLOWS "
+          f"{_VECTOR_MIN_FLOWS}")
 
 
 # ------------------------------------------------------- end-to-end scenario

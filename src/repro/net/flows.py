@@ -60,10 +60,11 @@ kernels, selected per network (``FlowNetwork(kernel=...)``, usually via
 The two kernels perform the *same* IEEE operations in the same order —
 components are canonically ordered by flow id before either kernel sees
 them — so their results are bit-identical, not merely close; the golden
-experiment pipeline produces the same bytes under both.  Components
-smaller than :data:`_VECTOR_MIN_FLOWS` always take the python path (array
-setup would cost more than it saves), which keeps the numpy kernel a pure
-large-component accelerator.
+experiment pipeline produces the same bytes under both.  Unions smaller
+than :data:`_VECTOR_MIN_FLOWS` always take the python path (array setup
+would cost more than it saves), which keeps the numpy kernel a pure
+swarm-scale accelerator: the small-scale trace's components (22 flows on
+average, never more than 90) all settle on the python kernel.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ import heapq
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.net.sim import Simulator
@@ -88,11 +90,19 @@ UNCONSTRAINED_RATE = 10e9
 #: so small heaps never pay the rebuild.
 _HEAP_COMPACT_MIN = 64
 
-#: Components with fewer flows than this settle on the python kernel even
-#: when the numpy kernel is selected: building the arrays costs more than
-#: the handful of dict operations they replace.  Both kernels are
-#: bit-identical, so the cutover is unobservable except in wall time.
-_VECTOR_MIN_FLOWS = 24
+#: Settling unions with fewer flows than this take the python kernel even
+#: when the numpy kernel is selected: below it, building the arrays and the
+#: per-round fixed cost of the vector ops outweigh the dict operations they
+#: replace.  Set from ``test_kernel_crossover`` in
+#: ``benchmarks/test_simcore.py``, which times both kernels on captured
+#: components per size bucket: python wins every bucket below 96 flows, the
+#: 96-127 bucket is a toss-up, and numpy wins every bucket from 128 up.
+#: Both kernels are bit-identical, so the cutover is unobservable except in
+#: wall time.
+_VECTOR_MIN_FLOWS = 128
+
+#: Sort key putting a settling union into canonical flow-id order.
+_flow_id = attrgetter("flow_id")
 
 #: Kernel names accepted by :class:`FlowNetwork` / ``SystemConfig.kernel``.
 KERNELS = ("numpy", "python")
@@ -304,6 +314,10 @@ class FlowNetwork:
         # Dirty flows awaiting settlement; a dict preserves mutation order
         # so components are walked in the order the burst touched them.
         self._dirty: dict[Flow, None] = {}
+        # Resources whose ``allocated`` sum is stale: a member's rate
+        # changed, a member detached, or the capacity changed.  Re-summed
+        # exactly at the next settlement.
+        self._touched: set[Resource] = set()
         self._need_schedule = False
         self._batch_depth = 0
         sim.add_post_event_hook(self._post_event_flush)
@@ -389,6 +403,7 @@ class FlowNetwork:
         if capacity == resource.capacity:
             return
         resource.capacity = capacity
+        self._touched.add(resource)
         for flow in list(resource.flows):
             if flow.active:
                 self._dirty.setdefault(flow)
@@ -437,23 +452,47 @@ class FlowNetwork:
         mutated the network call this first.
         """
         if not self._dirty:
+            if self._touched:
+                self._resum_touched()
             if self._need_schedule:
                 self._need_schedule = False
                 self._schedule_next_completion()
             return
-        self.stats.flushes += 1
+        stats = self.stats
+        stats.flushes += 1
         dirty, self._dirty = self._dirty, {}
         self._need_schedule = False
-        component: set[Flow] = set()
+        # One walk over every dirty flow's connected component into a single
+        # shared set.  Components are disjoint, so the per-component counters
+        # are the growth of ``seen`` across each walk.  A resource's members
+        # all join the first time the walk reaches it, so each resource is
+        # expanded once.
+        seen: set[Flow] = set()
+        expanded: set[Resource] = set()
         for flow in dirty:
-            if flow.active and flow not in component:
-                walked = self._component(flow)
-                self.stats.components += 1
-                self.stats.flows_reallocated += len(walked)
-                if len(walked) > self.stats.max_component:
-                    self.stats.max_component = len(walked)
-                component |= walked
-        self._reallocate(component)
+            if not flow.active or flow in seen:
+                continue
+            before = len(seen)
+            seen.add(flow)
+            frontier = [flow]
+            while frontier:
+                for res in frontier.pop().resources:
+                    if res.capacity is None or res in expanded:
+                        # Unconstrained resources never bind, so they don't
+                        # couple allocations — skipping them keeps components
+                        # (and reallocation cost) small.
+                        continue
+                    expanded.add(res)
+                    joined = res.flows - seen
+                    if joined:
+                        seen |= joined
+                        frontier.extend(joined)
+            size = len(seen) - before
+            stats.components += 1
+            stats.flows_reallocated += size
+            if size > stats.max_component:
+                stats.max_component = size
+        self._reallocate(seen)
 
     # ------------------------------------------------------- internal engine
 
@@ -482,6 +521,7 @@ class FlowNetwork:
             flow._queued = False
             self._heap_live -= 1
         self.active_flows.discard(flow)
+        self._touched.update(flow.resources)
         for res in flow.resources:
             res.flows.discard(flow)
             if res.flows:
@@ -497,83 +537,77 @@ class FlowNetwork:
             flow.transferred = min(flow.size, flow.transferred + flow.rate * dt)
         flow._last_update = now
 
-    def _component(self, flow: Flow) -> set[Flow]:
-        """All active flows transitively sharing a resource with ``flow``."""
-        if not flow.active:
-            return set()
-        seen = {flow}
-        frontier = [flow]
-        while frontier:
-            current = frontier.pop()
-            for res in current.resources:
-                if res.capacity is None:
-                    # Unconstrained resources never bind, so they don't
-                    # couple allocations — skipping them keeps components
-                    # (and reallocation cost) small.
-                    continue
-                for other in res.flows:
-                    if other not in seen:
-                        seen.add(other)
-                        frontier.append(other)
-        return seen
-
     def _reallocate(self, flows: set[Flow]) -> None:
-        """Recompute max-min fair rates for a dirty union and reschedule."""
-        flows = {f for f in flows if f.active}
-        if not flows:
-            self._schedule_next_completion()
-            return
-        self.stats.reallocations += 1
-        for f in flows:
-            self._settle(f)
+        """Recompute max-min fair rates for a dirty union and reschedule.
 
-        rates = self._waterfill(flows)
-        now = self.sim.now
-        changed = False
-        for f, rate in rates.items():
-            if rate == f.rate:
-                # Flows progress linearly, so an unchanged rate means the
-                # existing heap entry's ETA is still exact — skip the version
-                # bump and re-push entirely (satellite: no heap bloat).
-                self.stats.heap_skips += 1
-                continue
-            changed = True
-            f.rate = rate
-            f._version += 1
-            if f._queued:
-                f._queued = False
-                self._heap_live -= 1
-            if rate > 0 and f.remaining > 0:
-                eta = now + f.remaining / rate
-            else:
-                eta = math.inf
-            if math.isfinite(eta):
-                heapq.heappush(self._completions, (eta, f.flow_id, f._version, f))
-                f._queued = True
-                self._heap_live += 1
-                self.stats.heap_pushes += 1
-        if changed:
-            # Exact per-resource allocated sums: recomputed (not drifted) for
-            # every constrained resource the union touches, so utilization
-            # reads stay O(1) *and* bit-exact.
-            seen_res: set[Resource] = set()
-            for f in flows:
-                for res in f.resources:
-                    if res.capacity is not None and res not in seen_res:
-                        seen_res.add(res)
-                        res.allocated = sum(g.rate for g in res.flows)
+        ``flows`` holds only active flows (the component walk starts from
+        active flows and resource member sets hold nothing else).  The union
+        is sorted once into canonical flow-id order, settled, water-filled,
+        and its new rates read back in that order.
+        """
+        if flows:
+            stats = self.stats
+            stats.reallocations += 1
+            ordered = sorted(flows, key=_flow_id)
+            now = self.sim.now
+            for f in ordered:
+                dt = now - f._last_update
+                if dt > 0:
+                    f.transferred = min(f.size, f.transferred + f.rate * dt)
+                f._last_update = now
+
+            rates = self._waterfill(ordered)
+            touched = self._touched
+            heap = self._completions
+            for f in ordered:
+                rate = rates[f]
+                if rate == f.rate:
+                    # Flows progress linearly, so an unchanged rate means the
+                    # existing heap entry's ETA is still exact — skip the
+                    # version bump and re-push entirely (no heap bloat).
+                    stats.heap_skips += 1
+                    continue
+                f.rate = rate
+                touched.update(f.resources)
+                f._version += 1
+                if f._queued:
+                    f._queued = False
+                    self._heap_live -= 1
+                left = f.size - f.transferred
+                if rate > 0 and left > 0:
+                    eta = now + left / rate
+                    if eta < math.inf:
+                        heapq.heappush(heap, (eta, f.flow_id, f._version, f))
+                        f._queued = True
+                        self._heap_live += 1
+                        stats.heap_pushes += 1
+        if self._touched:
+            self._resum_touched()
         self._schedule_next_completion()
 
-    def _waterfill(self, flows: set[Flow]) -> dict[Flow, float]:
-        """Run the selected kernel over one settling component.
+    def _resum_touched(self) -> None:
+        """Recompute ``allocated`` exactly on every touched resource.
 
-        Both kernels receive the component in canonical flow-id order, so
-        their per-round freeze/subtract sequences — and therefore every
-        IEEE rounding step — coincide exactly.  Components too small to
-        amortize array setup stay on the python path regardless of the
-        selected kernel.
+        A resource is touched when a member flow's rate changed, a member
+        detached, or its capacity changed since the last settlement —
+        constrained or not.  Every other resource's member rates are
+        unchanged since its last exact sum, so its ``allocated`` still is
+        one.  A resource left with no members was reset to 0.0 on detach.
         """
-        ordered = sorted(flows, key=lambda f: f.flow_id)
+        for res in self._touched:
+            if res.flows:
+                res.allocated = sum(g.rate for g in res.flows)
+        self._touched.clear()
+
+    def _waterfill(self, ordered: list[Flow]) -> dict[Flow, float]:
+        """Run the selected kernel over one flow-id-ordered settling union.
+
+        Both kernels receive the union in canonical flow-id order, so their
+        per-round freeze/subtract sequences — and therefore every IEEE
+        rounding step — coincide exactly.  Unions too small to amortize
+        array setup stay on the python path regardless of the selected
+        kernel.
+        """
         if self.kernel == "numpy" and len(ordered) >= _VECTOR_MIN_FLOWS:
             if self._vector is None:
                 self._vector = _VectorWaterfill()

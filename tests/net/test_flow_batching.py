@@ -11,9 +11,12 @@ workloads, and pin the golden-seed experiment output.
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.invariants.checkers import _ABS, _REL, check_flow_feasibility
 from repro.net.flows import FlowNetwork, Resource
 from repro.net.sim import Simulator
 
@@ -273,3 +276,121 @@ def test_completion_burst_settles_in_one_pass():
     assert net.completed_count == 4
     # All four same-instant completions resolved in one settlement pass.
     assert net.stats.reallocations <= settles_before + 2
+
+
+def test_unconstrained_resource_allocated_tracks_member_rates():
+    """A detach from a shared unconstrained resource leaves no drift.
+
+    ``edge`` never binds, so it couples no allocations; when the short
+    flow completes, its rate must still leave ``edge.allocated`` equal to
+    the long flow's rate rather than drifting below it.
+    """
+    sim = Simulator()
+    net = FlowNetwork(sim, batching=True)
+    edge = Resource("edge", None)
+    net.start_flow([edge, Resource("d1", 100.0)], 1e3)
+    long_flow = net.start_flow([edge, Resource("d2", 50.0)], 1e6)
+    sim.run(until=20.0)
+    assert net.completed_count == 1
+    assert edge.allocated == long_flow.rate == 50.0
+    violations = []
+    check_flow_feasibility(SimpleNamespace(flows=net),
+                           lambda *violation: violations.append(violation))
+    assert violations == []
+
+
+# ----------------------------------------------------- bookkeeping property
+
+_CAPACITY = st.one_of(st.none(), st.floats(min_value=20.0, max_value=500.0))
+_FLOW_CAP = st.one_of(st.none(), st.floats(min_value=5.0, max_value=300.0))
+_OPS = st.one_of(
+    st.tuples(st.just("start"),
+              st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True),
+              st.floats(min_value=100.0, max_value=2e4), _FLOW_CAP),
+    st.tuples(st.just("abort"), st.integers(0, 10**6)),
+    st.tuples(st.just("cap"), st.integers(0, 10**6), _FLOW_CAP),
+    st.tuples(st.just("capacity"), st.integers(0, 5), _CAPACITY),
+)
+
+
+def _brute_force_components(flows) -> list[set]:
+    """Connected components of active flows sharing a constrained resource."""
+    flows = [f for f in flows if f.active]
+    parent = {f: f for f in flows}
+
+    def root(f):
+        while parent[f] is not f:
+            f = parent[f]
+        return f
+
+    for i, f in enumerate(flows):
+        for g in flows[i + 1:]:
+            if any(r.capacity is not None and r in g.resources
+                   for r in f.resources):
+                parent[root(g)] = root(f)
+    groups: dict = {}
+    for f in flows:
+        groups.setdefault(root(f), set()).add(f)
+    return list(groups.values())
+
+
+@given(capacities=st.lists(_CAPACITY, min_size=6, max_size=6),
+       bursts=st.lists(st.lists(_OPS, min_size=1, max_size=6),
+                       min_size=1, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_bookkeeping_exact_at_every_event_boundary(capacities, bursts):
+    """Random mutation bursts keep ``allocated`` and flush counters exact.
+
+    After every event boundary (bursts and completion ticks alike) each
+    resource's ``allocated`` equals its member-rate sum within the
+    invariant checker's tolerance, and every flush's component counters
+    equal a brute-force recount of the dirty flows' components.
+    """
+    sim = Simulator()
+    net = FlowNetwork(sim, batching=True)
+    resources = [Resource(f"r{i}", cap) for i, cap in enumerate(capacities)]
+    flows: list = []
+    expected = {"components": 0, "flows_reallocated": 0, "max_component": 0}
+    settle = net.flush
+
+    def counted_flush() -> None:
+        dirty = [f for f in net._dirty if f.active]
+        sizes = [len(c) for c in _brute_force_components(net.active_flows)
+                 if any(f in c for f in dirty)]
+        settle()
+        if sizes:
+            expected["components"] += len(sizes)
+            expected["flows_reallocated"] += sum(sizes)
+            expected["max_component"] = max(expected["max_component"],
+                                             *sizes)
+        assert {k: getattr(net.stats, k) for k in expected} == expected
+
+    net.flush = counted_flush
+
+    def check() -> None:
+        for res in resources:
+            total = sum(f.rate for f in res.flows)
+            assert abs(res.allocated - total) <= max(
+                _REL * max(abs(total), 1.0), _ABS), res.name
+
+    sim.add_post_event_hook(check)
+
+    def apply(ops) -> None:
+        for op in ops:
+            if op[0] == "start":
+                _, picked, size, cap = op
+                flows.append(net.start_flow(
+                    [resources[i] for i in picked], size, cap=cap))
+            elif op[0] == "capacity":
+                net.set_resource_capacity(resources[op[1]], op[2])
+            elif not flows:
+                continue
+            elif op[0] == "abort":
+                net.abort_flow(flows[op[1] % len(flows)])
+            else:
+                net.set_cap(flows[op[1] % len(flows)], op[2])
+
+    for i, ops in enumerate(bursts):
+        sim.schedule_at(5.0 * i, lambda ops=ops: apply(ops))
+    sim.run(until=200.0)
+    check()
