@@ -14,39 +14,24 @@ invocations compose instead of clobbering each other.
 
 from __future__ import annotations
 
-import json
-import time
 from pathlib import Path
+
+from repro.experiments.exp_scale import record_curve
 
 #: The trajectory file at the repo root (committed; CI gates against it).
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_simcore.json"
-
-#: Entries kept per bench in ``history`` (newest last).  Forty entries at
-#: CI cadence is months of trend without the file outgrowing review.
-HISTORY_LIMIT = 40
 
 
 def record_results(results: dict[str, dict], path: Path = BENCH_PATH) -> None:
     """Merge ``results`` into the trajectory file at ``path``.
 
-    Each bench's latest values replace its top-level entry, and a
-    timestamped copy is appended to ``history[<bench>]`` (capped at
-    :data:`HISTORY_LIMIT`, oldest dropped first).
+    Delegates to :func:`repro.experiments.exp_scale.record_curve`, which
+    also writes ``BENCH_scale.json``: each bench's latest values replace its
+    top-level entry and a timestamped copy joins its capped ``history``.
     """
     if not results:
         return
-    merged: dict = {}
-    if path.exists():
-        merged = json.loads(path.read_text())
-    history: dict[str, list] = merged.get("history", {})
-    stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    for name, values in results.items():
-        merged[name] = values
-        series = history.setdefault(name, [])
-        series.append({"recorded": stamp, **values})
-        del series[:-HISTORY_LIMIT]
-    merged["history"] = history
-    path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+    record_curve(results, path)
     print(f"\nwrote {path}")
 
 

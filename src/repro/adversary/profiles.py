@@ -140,9 +140,9 @@ def assign_adversaries(peers, config: AdversaryConfig, seed: int,
     ``peers`` is a :class:`~repro.workload.population.Population` or any
     sequence of peers.  A population selects through
     :meth:`~repro.workload.population.Population.sample_peers`, whose draw
-    sequence depends only on the population size — so a columnar store
-    converts the same creation-order victims as the eager object graph,
-    materializing only the converted slice.
+    sequence depends only on the population size — so it converts the same
+    creation-order victims a plain peer list would, materializing only
+    the converted slice.
 
     Draws exclusively from ``random.Random(f"repro-adversary:{seed}")`` —
     the population's own RNG streams are untouched, so honest peers behave

@@ -350,8 +350,7 @@ class SystemConfig:
     #: vectorized array backend, ``python`` always uses the dict-based
     #: reference implementation.  The two are bit-identical — the knob
     #: only moves wall time.  The default ``auto`` resolves through the
-    #: ``REPRO_KERNEL`` environment variable and falls back to ``numpy``
-    #: (or ``python`` when numpy is not importable).
+    #: ``REPRO_KERNEL`` environment variable and otherwise means ``numpy``.
     kernel: str = "auto"
 
     _KERNELS = ("auto", "numpy", "python")
@@ -369,10 +368,6 @@ class SystemConfig:
         env = os.environ.get("REPRO_KERNEL", "").strip().lower()
         if env in ("numpy", "python"):
             return env
-        try:
-            import numpy  # noqa: F401 — availability probe only
-        except ImportError:  # pragma: no cover - numpy is a hard dep here
-            return "python"
         return "numpy"
 
     def with_client(self, **changes) -> "SystemConfig":

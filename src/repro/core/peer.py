@@ -63,7 +63,8 @@ class PeerNode:
     """One NetSession installation on one user machine."""
 
     #: Row index in the columnar population store this node was materialized
-    #: from; None for object-mode peers and event-time extras (clones).
+    #: from; None for peers built directly with ``create_peer`` and for
+    #: event-time extras (clones).
     _store_index: int | None = None
 
     def __init__(
@@ -83,8 +84,8 @@ class PeerNode:
     ):
         self.system = system
         # ``rng`` lets the columnar store materialize a peer with the exact
-        # per-peer stream object mode would have given it (replayed from the
-        # recorded 64-bit seed) without consuming a fresh system.rng draw.
+        # per-peer stream an eager build would have given it (replayed from
+        # the recorded 64-bit seed) without consuming a fresh system.rng draw.
         self.rng: random.Random = (
             rng if rng is not None else random.Random(system.rng.getrandbits(64))
         )
@@ -317,7 +318,7 @@ class PeerNode:
         budget = self.device.cache_objects if self.device is not None else None
         if budget is not None and cid not in self.cache:
             # Storage-poor tiers hold only `cache_objects` entries: evict
-            # the oldest (ties broken by cid, so both stores agree).
+            # the oldest (ties broken by cid, so eviction is deterministic).
             while len(self.cache) >= budget:
                 oldest = min(self.cache.values(),
                              key=lambda e: (e.completed_at, e.cid))

@@ -322,10 +322,11 @@ class NetSessionSystem:
         #: Monotonic per-system peer sequence, used to name access-link
         #: resources.  Tracks creation order independently of ``all_peers``
         #: so a columnar population (which materializes lazily) hands out
-        #: the same ``peerN`` names object mode would.
+        #: the same ``peerN`` names an eager build would.
         self._peer_seq = 0
         #: The columnar population store, when the workload layer attached
-        #: one (see :mod:`repro.workload.columnar`); None in object mode.
+        #: one (see :mod:`repro.workload.columnar`); None for systems built
+        #: without a population (unit tests, the fuzzer).
         self.population_store = None
         self.providers: dict[int, ContentProvider] = {}
         #: Streaming/serving-policy accumulator (stays all-zero unless a
@@ -472,11 +473,12 @@ class NetSessionSystem:
     def iter_peer_nodes(self) -> list[PeerNode]:
         """Live :class:`PeerNode` objects, in creation order.
 
-        In object mode this is ``all_peers``.  With a columnar population
+        Without a population store this is ``all_peers``.  With one
         attached it is the *materialized* nodes in column order followed by
-        event-time extras (adopted clones) — the same relative order object
-        mode produces, which order-sensitive sweeps (end-of-trace session
-        finalization, stranded-peer reconnection) rely on for byte parity.
+        event-time extras (adopted clones) — the same relative order an
+        eager build produces, which order-sensitive sweeps (end-of-trace
+        session finalization, stranded-peer reconnection) rely on for byte
+        parity.
         """
         store = self.population_store
         if store is None:

@@ -45,7 +45,9 @@ SCALE_POINTS = {
     "full": (10_000, 100_000, 1_000_000),
 }
 
-#: History entries kept per bench point (mirrors ``benchmarks/_results``).
+#: Entries kept per bench in a trajectory's ``history`` (newest last).
+#: Forty entries at CI cadence is months of trend without the file
+#: outgrowing review.
 HISTORY_LIMIT = 40
 
 
@@ -77,7 +79,7 @@ def scale_config(
             invariants=invariants,
         ),
         population=PopulationConfig(
-            n_peers=n_peers, store="columnar", active_peer_cap=cap,
+            n_peers=n_peers, active_peer_cap=cap,
         ),
         demand=DemandConfig(total_downloads=downloads, duration_days=days),
         catalog=CatalogConfig(objects_per_provider=20),
@@ -181,12 +183,13 @@ def run_curve(
 
 
 def record_curve(results: dict[str, dict], path: Path) -> None:
-    """Merge curve entries into the trajectory file at ``path``.
+    """Merge bench entries into the trajectory file at ``path``.
 
-    Same shape as ``benchmarks/_results.record_results`` (latest values at
-    the top level, a capped ``history`` series per bench), duplicated here
-    because the installed package cannot depend on the repo's benchmarks
-    directory.
+    The one trajectory writer, shared by ``BENCH_scale.json`` and the
+    benchmark modules' ``BENCH_simcore.json``: each bench's latest values
+    replace its top-level entry, and a timestamped copy is appended to
+    ``history[<bench>]`` (capped at :data:`HISTORY_LIMIT`, oldest dropped
+    first).  Read-merge-write, so separate runs compose.
     """
     if not results:
         return

@@ -76,9 +76,6 @@ def canonicalize(obj: object) -> object:
         resolve_kernel = getattr(obj, "resolve_kernel", None)
         if "kernel" in fields and callable(resolve_kernel):
             fields["kernel"] = resolve_kernel()
-        resolve_store = getattr(obj, "resolve_store", None)
-        if "store" in fields and callable(resolve_store):
-            fields["store"] = resolve_store()
         resolve_shards = getattr(obj, "resolve_shards", None)
         if "shards" in fields and callable(resolve_shards):
             fields["shards"] = resolve_shards()

@@ -4,50 +4,43 @@ The paper measured NetSession at ~26M installed peers (§4.1); an object
 graph with one :class:`~repro.core.peer.PeerNode` (plus its own 2.5KB
 ``random.Random`` state, control channel, and access-link resources) per
 install tops out around the tens of thousands.  This module stores the
-installed base as packed columns — interned geography/AS/NAT ids, link
-capacities, provider attribution, per-peer RNG seeds — and materializes a
-real ``PeerNode`` only for peers something actually touches: a boot, a
-download, a fault token, an adversary assignment.
+installed base as packed numpy columns — interned geography/AS/NAT ids,
+link capacities, provider attribution, per-peer RNG seeds — and
+materializes a real ``PeerNode`` only for peers something actually
+touches: a boot, a download, a fault token, an adversary assignment.
+It is the only population store; ``tests/scale/`` holds it byte-for-byte
+to a frozen eager oracle (one node per install, built up front):
 
-Equivalence contract (enforced byte-for-byte by ``tests/scale/``):
-
-* **Build draws** replicate object mode exactly.  The build consumes
+* **Build draws** replicate the eager build exactly.  The build consumes
   ``system.rng``, the broadband model's stream, the NAT model's stream and
   the population RNG in the precise per-peer order
-  :meth:`~repro.core.system.NetSessionSystem.create_peer` +
-  :func:`~repro.workload.population.build_population` would, so every
-  downstream stream (demand, behaviour, catalog) sees identical state.
-* **Materialization is draw-free.**  The 64-bit seed object mode would
-  have fed each peer's private RNG is recorded per row; materializing
-  replays ``random.Random(seed)`` through the GUID draw and hands the
-  stream to the node, and the control channel re-derives its own stream
-  from the GUID string.  A peer materialized at t=0 and one materialized
-  mid-run are indistinguishable from eagerly-built ones.
+  :meth:`~repro.core.system.NetSessionSystem.create_peer` plus the
+  per-peer flag draws would, so every downstream stream (demand,
+  behaviour, catalog) sees the state the eager build left.
+* **Materialization is draw-free.**  The 64-bit seed the eager build
+  would have fed each peer's private RNG is recorded per row;
+  materializing replays ``random.Random(seed)`` through the GUID draw and
+  hands the stream to the node, and the control channel re-derives its
+  own stream from the GUID string.  A peer materialized at t=0 and one
+  materialized mid-run are indistinguishable from eagerly built ones.
 * **Release reconciles.**  :meth:`ColumnarPopulationStore.release` writes
   a node's mutated scalars back to the columns, parks the non-columnar
   residue (RNG state, counters, identity history) in a sparse side table,
   and drops the node; re-materializing restores the exact state.
-
-Columns use numpy when available (the same soft dependency as the flow
-kernel) and fall back to stdlib ``array``/lists otherwise.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator
+
+import numpy as np
 
 from repro.core.ids import make_guid
 from repro.core.peer import PeerNode
 from repro.net.links import AccessLink
 from repro.net.flows import Resource
 from repro.net.nat import NATProfile, NATType
-
-try:  # soft dependency, mirroring the flow kernel's gating
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.content import ContentProvider
@@ -57,32 +50,24 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["ColumnarPopulationStore", "LazyPeer", "build_columnar_store"]
 
 
-def _f8(values) -> "array":
+def _f8(values) -> np.ndarray:
     """A float64 column."""
-    if _np is not None:
-        return _np.asarray(values, dtype=_np.float64)
-    return array("d", values)
+    return np.asarray(values, dtype=np.float64)
 
 
-def _i4(values) -> "array":
+def _i4(values) -> np.ndarray:
     """An int32 column (intern-table indexes, provider codes)."""
-    if _np is not None:
-        return _np.asarray(values, dtype=_np.int32)
-    return array("l", values)
+    return np.asarray(values, dtype=np.int32)
 
 
-def _u1(values) -> "array":
+def _u1(values) -> np.ndarray:
     """A uint8 flag column."""
-    if _np is not None:
-        return _np.asarray(values, dtype=_np.uint8)
-    return array("B", values)
+    return np.asarray(values, dtype=np.uint8)
 
 
-def _u8(values) -> "array":
+def _u8(values) -> np.ndarray:
     """A uint64 column (per-peer RNG seeds)."""
-    if _np is not None:
-        return _np.asarray(values, dtype=_np.uint64)
-    return array("Q", values)
+    return np.asarray(values, dtype=np.uint64)
 
 
 class _Interner:
@@ -154,8 +139,8 @@ class LazyPeer:
         self._real().go_online()
 
     def go_offline(self) -> None:
-        # A dormant peer is offline; object mode's go_offline is a no-op
-        # there, so don't materialize just to do nothing.
+        # A dormant peer is offline, where go_offline is a no-op, so
+        # don't materialize just to do nothing.
         node = self._node()
         if node is not None:
             node.go_offline()
@@ -180,7 +165,7 @@ def _residue_get(pop: "ColumnarPopulationStore", i: int, key: str, default):
 
 
 #: Dormant attribute readers: name -> (store, row) -> value.  Must agree
-#: exactly with what a freshly built (or released) object-mode peer reports.
+#: exactly with what a freshly built (or released) PeerNode reports.
 _COLUMN_READS = {
     "guid": lambda p, i: p.guids[i],
     "country": lambda p, i: p._countries.objects[p.country_i[i]],
@@ -225,8 +210,8 @@ _COLUMN_READS = {
 class _PeerColumnView:
     """Sequence view over the store's rows, yielding cached handles.
 
-    Supports ``len``/index/iterate/``rng.sample`` — everything the former
-    ``Population.peers`` list offered to read-only consumers.
+    Supports ``len``/index/iterate/``rng.sample`` — everything read-only
+    consumers of ``Population.peers`` need.
     """
 
     __slots__ = ("_store",)
@@ -248,24 +233,6 @@ class _PeerColumnView:
     def __iter__(self) -> Iterator[LazyPeer]:
         handle = self._store.handle
         return (handle(i) for i in range(len(self._store)))
-
-
-class _TzView(Mapping):
-    """guid -> timezone-offset mapping served from the tz column."""
-
-    __slots__ = ("_store",)
-
-    def __init__(self, store: "ColumnarPopulationStore"):
-        self._store = store
-
-    def __getitem__(self, guid: str) -> float:
-        return float(self._store.tz[self._store.index_of(guid)])
-
-    def __iter__(self):
-        return iter(self._store.guids)
-
-    def __len__(self) -> int:
-        return len(self._store)
 
 
 class ColumnarPopulationStore:
@@ -308,7 +275,6 @@ class ColumnarPopulationStore:
         # Live state.
         self._nodes: dict[int, PeerNode] = {}
         self._handles: dict[int, LazyPeer] = {}
-        self._guid_index: dict[str, int] | None = None
         #: Peak materialized-node gauge, for the scale benchmark report.
         self.peak_materialized = 0
 
@@ -331,19 +297,10 @@ class ColumnarPopulationStore:
     def peers_view(self) -> _PeerColumnView:
         return _PeerColumnView(self)
 
-    def tz_view(self) -> _TzView:
-        return _TzView(self)
-
     def device_at(self, i: int):
         """Row ``i``'s :class:`DeviceClass`, or None without a tier mix."""
         idx = self.device_i[i]
         return self._device_classes[idx] if idx >= 0 else None
-
-    def index_of(self, guid: str) -> int:
-        """Row index of ``guid`` (builds the reverse index on first use)."""
-        if self._guid_index is None:
-            self._guid_index = {g: i for i, g in enumerate(self.guids)}
-        return self._guid_index[guid]
 
     def materialized_nodes(self) -> list[PeerNode]:
         """Materialized nodes in column order (creation-order parity)."""
@@ -358,8 +315,8 @@ class ColumnarPopulationStore:
         """Build the real node for row ``i`` (idempotent, draw-free).
 
         Replays the per-peer RNG from its recorded seed through the GUID
-        draw — leaving the stream exactly where object mode's constructor
-        left it — and reconstructs the access link with the same ``peerN``
+        draw — leaving the stream exactly where an eager constructor
+        would have left it — and reconstructs the access link with the same ``peerN``
         resource names and byte/s capacities the eager build sampled.
         """
         node = self._nodes.get(i)
@@ -478,9 +435,9 @@ def build_columnar_store(
     """Sample the installed base straight into columns.
 
     Consumes ``system.rng``, the broadband/NAT model streams and the
-    population RNG in exactly the per-peer order the object-mode build
-    (``create_peer`` + the build loop) would, so everything downstream of
-    population synthesis sees identical RNG state regardless of store.
+    population RNG in exactly the per-peer order an eager build
+    (``create_peer`` + the per-peer flag draws) would, so everything
+    downstream of population synthesis sees the same RNG state.
     """
     store = ColumnarPopulationStore(system)
     world, topology = system.world, system.topology
@@ -522,8 +479,8 @@ def build_columnar_store(
         if mix is None:
             device_i.append(-1)
         else:
-            # Exactly the object-mode draw order: class pick, always-on
-            # override, optional NAT override (only for classes with one).
+            # Draw order: class pick, always-on override, optional NAT
+            # override (only for classes with one).
             cls = mix.pick(rng.random())
             device_i.append(device_index[cls.name])
             if rng.random() < cls.always_on_prob:

@@ -11,38 +11,30 @@ user is logged in (§3.4), so sessions track the user's computer-use day —
 long daily sessions with a diurnal phase per timezone, unlike the short
 sessions of launch-on-demand p2p clients.
 
-Two interchangeable stores back the population (``PopulationConfig.store``):
-
-* ``object`` — the original eager graph: one :class:`PeerNode` per install.
-* ``columnar`` — a struct-of-arrays store with lazy materialization
-  (:mod:`repro.workload.columnar`), byte-for-byte equivalent by contract
-  (``tests/scale/``) and the only store that reaches paper-scale
-  populations (§4.1's tens of millions).
-
-``auto`` resolves through ``REPRO_POPULATION_STORE`` the way the flow
-kernel resolves through ``REPRO_KERNEL``, and is a cache key once resolved.
+The installed base lives in a struct-of-arrays store with lazy
+materialization (:mod:`repro.workload.columnar`), the representation that
+reaches paper-scale populations (§4.1's tens of millions).  Its build is
+held byte-for-byte to a frozen eager oracle — one :class:`PeerNode` per
+install, the seed implementation — kept in ``tests/scale/``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.core.content import ContentProvider
 from repro.core.peer import PeerNode
 from repro.core.system import NetSessionSystem
 from repro.net.lan import LanSite
-from repro.net.nat import NATProfile, NATType
+from repro.workload.columnar import ColumnarPopulationStore, build_columnar_store
 from repro.workload.devices import DeviceMixConfig
 
 __all__ = ["PopulationConfig", "Population", "build_population", "diurnal_rate"]
 
 DAY = 24 * 3600.0
-
-_STORES = ("auto", "object", "columnar")
 
 
 @dataclass(frozen=True)
@@ -65,11 +57,6 @@ class PopulationConfig:
     corporate_fraction: float = 0.0
     #: Site size range (machines per office), inclusive.
     site_size_range: tuple[int, int] = (8, 40)
-    #: Population store: "object" (eager PeerNode graph), "columnar"
-    #: (struct-of-arrays + lazy materialization), or "auto" (resolve
-    #: through the ``REPRO_POPULATION_STORE`` env var; columnar default).
-    #: The two stores are byte-for-byte equivalent (``tests/scale/``).
-    store: str = "auto"
     #: When set, only this many peers (a seeded uniform subset) get daily
     #: online-session schedules; the rest stay dormant until demand or a
     #: fault touches them.  Million-peer scenarios need it — scheduling
@@ -78,8 +65,8 @@ class PopulationConfig:
     active_peer_cap: int | None = None
     #: Device-tier mix (smartrouter/mobile/settop heterogeneity).  None —
     #: the default — draws nothing and keeps every golden byte-identical;
-    #: a :class:`DeviceMixConfig` adds three class draws per peer in both
-    #: stores (class pick, always-on override, optional NAT override).
+    #: a :class:`DeviceMixConfig` adds up to three class draws per peer
+    #: (class pick, always-on override, optional NAT override).
     device: DeviceMixConfig | None = None
 
     def __post_init__(self):
@@ -89,95 +76,69 @@ class PopulationConfig:
             raise ValueError("broken_fraction must be in [0, 1]")
         if not 0 < self.mean_daily_uptime_hours <= 24:
             raise ValueError("mean_daily_uptime_hours must be in (0, 24]")
-        if self.store not in _STORES:
-            raise ValueError(f"store must be one of {_STORES}, got {self.store!r}")
         if self.active_peer_cap is not None and self.active_peer_cap <= 0:
             raise ValueError("active_peer_cap must be positive (or None)")
-
-    def resolve_store(self) -> str:
-        """The concrete store "auto" means right now (an env indirection).
-
-        Mirrors :meth:`repro.core.config.SystemConfig.resolve_kernel`: the
-        fingerprint layer hashes the *resolved* value, so an object-store
-        run and a columnar run never share a cache slot even though their
-        outputs are byte-identical by contract.
-        """
-        if self.store != "auto":
-            return self.store
-        env = os.environ.get("REPRO_POPULATION_STORE", "").strip().lower()
-        if env in ("object", "columnar"):
-            return env
-        return "columnar"
 
 
 @dataclass
 class Population:
     """The installed base plus per-peer session schedules.
 
-    ``peers`` is a list of :class:`PeerNode` in object mode, or a sequence
-    view of lazy handles over the columnar store — both support ``len``,
-    indexing, and iteration.  Prefer :meth:`iter_peers` /
+    ``peers`` is a sequence view of lazy handles over the columnar store
+    (``len``, indexing, iteration).  Prefer :meth:`iter_peers` /
     :meth:`sample_peers` in workload code: they spell out the contract that
     a full scan must not materialize anyone.
     """
 
-    peers: list[PeerNode]
-    #: Local-midnight offset (seconds) per peer, derived from longitude.
-    tz_offset: dict[str, float]
-    always_on: set[str]
+    store: ColumnarPopulationStore
     #: Corporate LAN sites, keyed by site id (§5.3 extension).
-    sites: dict[str, "LanSite"] = None  # type: ignore[assignment]
-    #: The columnar store behind ``peers`` (None in object mode).
-    store: object = None
+    sites: dict[str, LanSite] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.sites is None:
-            self.sites = {}
+    @property
+    def peers(self):
+        """Every install as a lazy handle, in creation order."""
+        return self.store.peers_view()
 
     def peer_count(self) -> int:
         """Number of installations."""
-        return len(self.peers)
+        return len(self.store)
 
     def iter_peers(self, device_class: str | None = None) -> Iterator[PeerNode]:
         """Iterate the installed base in creation order.
 
-        The one sanctioned way to write a population-wide scan: with a
-        columnar store it yields lazy handles whose reads come from the
-        columns, so sweeping a million peers materializes none of them.
-        ``device_class`` filters to one tier (``peer.device_class`` is a
-        dormant column read, so the filtered scan is scan-cheap too).
+        The one sanctioned way to write a population-wide scan: handles
+        serve their reads from the columns, so sweeping a million peers
+        materializes none of them.  ``device_class`` filters to one tier
+        (``peer.device_class`` is a dormant column read, so the filtered
+        scan is scan-cheap too).
         """
         if device_class is None:
-            return iter(self.peers)
-        return (p for p in self.peers if p.device_class == device_class)
+            return self.store.handles()
+        return (p for p in self.store.handles()
+                if p.device_class == device_class)
 
     def sample_peers(self, rng: random.Random, k: int,
                      device_class: str | None = None) -> list[PeerNode]:
         """Draw ``k`` distinct peers with ``rng.sample`` semantics.
 
         The draw sequence depends only on the (filtered) population size,
-        so object and columnar stores select the same creation-order
-        indexes from the same RNG state — fault and adversary selections
-        stay parity.  ``device_class`` restricts the draw to one tier.
+        so it selects the same creation-order indexes an eager peer list
+        would from the same RNG state, without materializing anyone.
+        ``device_class`` restricts the draw to one tier.
         """
+        store = self.store
         if device_class is None:
-            k = min(k, self.peer_count())
-            if self.store is None:
-                return rng.sample(list(self.peers), k)
-            store = self.store
-            return [store.handle(i) for i in rng.sample(range(len(store)), k)]
-        indices = [i for i, p in enumerate(self.peers)
-                   if p.device_class == device_class]
-        k = min(k, len(indices))
-        picked = rng.sample(indices, k)
-        if self.store is None:
-            return [self.peers[i] for i in picked]
-        return [self.store.handle(i) for i in picked]
+            indices = range(len(store))
+        else:
+            indices = [i for i, p in enumerate(store.handles())
+                       if p.device_class == device_class]
+        picked = rng.sample(indices, min(k, len(indices)))
+        return [store.handle(i) for i in picked]
 
     def device_census(self) -> dict[str, int]:
         """Install count per device class (``{}`` when tiers are off)."""
         census: dict[str, int] = {}
-        for peer in self.peers:
+        for peer in self.iter_peers():
             if peer.device is None:
                 continue
             name = peer.device.name
@@ -186,19 +147,15 @@ class Population:
 
     def device_classes(self) -> dict[str, str]:
         """guid → device-class name for tiered peers (dormant reads)."""
-        return {p.guid: p.device.name for p in self.peers
+        return {p.guid: p.device.name for p in self.iter_peers()
                 if p.device is not None}
 
     def override_upload_settings(self, rng: random.Random, probability: float) -> None:
         """Re-draw every peer's uploads-enabled flag (the Table 4 override).
 
-        One ``rng.random()`` per peer in creation order in both stores;
-        dormant columnar rows take the new value without materializing.
+        One ``rng.random()`` per peer in creation order; dormant rows take
+        the new value without materializing.
         """
-        if self.store is None:
-            for peer in self.peers:
-                peer.uploads_enabled = rng.random() < probability
-            return
         store = self.store
         for i in range(len(store)):
             value = rng.random() < probability
@@ -208,32 +165,13 @@ class Population:
             else:
                 store.uploads[i] = 1 if value else 0
 
-    def _set_lan(self, peer, site: "LanSite") -> None:
+    def _set_lan(self, peer, site: LanSite) -> None:
         """Attach a peer to a LAN site without forcing materialization."""
-        store = self.store
-        if store is not None and getattr(peer, "_i", None) is not None \
-                and not isinstance(peer, PeerNode):
-            node = store._nodes.get(peer._i)
-            if node is None:
-                store._lan[peer._i] = site
-                return
+        node = self.store._nodes.get(peer._i)
+        if node is None:
+            self.store._lan[peer._i] = site
+        else:
             node.lan = site
-            return
-        peer.lan = site
-
-    def _session_rows(self):
-        """(peer, tz_offset, always_on, device) per install, creation order."""
-        store = self.store
-        if store is None:
-            return (
-                (p, self.tz_offset[p.guid], p.guid in self.always_on, p.device)
-                for p in self.peers
-            )
-        return (
-            (store.handle(i), float(store.tz[i]), bool(store.always_on[i]),
-             store.device_at(i))
-            for i in range(len(store))
-        )
 
 
 def build_population(
@@ -245,53 +183,13 @@ def build_population(
 
     Each peer is attributed to the provider it first installed from,
     weighted by that provider's share of downloads — so the Table 4
-    upload-default mix emerges naturally.  The two stores consume the RNG
-    streams identically; everything after this call is store-agnostic.
+    upload-default mix emerges naturally.
     """
     cfg = config if config is not None else PopulationConfig()
     rng = random.Random(system.rng.getrandbits(64))
-
-    if cfg.resolve_store() == "columnar":
-        from repro.workload.columnar import build_columnar_store
-
-        store = build_columnar_store(system, providers, cfg, rng)
-        system.population_store = store
-        population = Population(
-            peers=store.peers_view(),
-            tz_offset=store.tz_view(),
-            always_on={g for g, flag in zip(store.guids, store.always_on) if flag},
-            store=store,
-        )
-    else:
-        peers: list[PeerNode] = []
-        tz_offset: dict[str, float] = {}
-        always_on: set[str] = set()
-
-        for _ in range(cfg.n_peers):
-            installed_from = rng.choice(providers) if providers else None
-            peer = system.create_peer(installed_from=installed_from)
-            if rng.random() < cfg.broken_fraction:
-                peer.piece_corruption_prob = cfg.broken_corruption_prob
-            if rng.random() < cfg.attacker_fraction:
-                peer.accounting_attacker = True
-            peers.append(peer)
-            # Local solar time from longitude: 15 degrees per hour.
-            tz_offset[peer.guid] = (peer.city.lon / 15.0) * 3600.0
-            if rng.random() < cfg.always_on_fraction:
-                always_on.add(peer.guid)
-            if cfg.device is not None:
-                cls = cfg.device.pick(rng.random())
-                peer.device = cls
-                if rng.random() < cls.always_on_prob:
-                    always_on.add(peer.guid)
-                if cls.nat_open_prob is not None \
-                        and rng.random() < cls.nat_open_prob:
-                    peer.nat_profile = NATProfile(
-                        true_type=NATType.OPEN, reported_type=NATType.OPEN)
-
-        population = Population(
-            peers=peers, tz_offset=tz_offset, always_on=always_on)
-
+    store = build_columnar_store(system, providers, cfg, rng)
+    system.population_store = store
+    population = Population(store=store)
     _assign_corporate_sites(population, cfg, rng)
     _schedule_sessions(system, population, cfg, rng)
     system.device_mix = cfg.device
@@ -357,13 +255,16 @@ def _schedule_sessions(
     if cfg.active_peer_cap is not None and cfg.active_peer_cap < count:
         chosen = set(rng.sample(range(count), cfg.active_peer_cap))
     uptime_mean = cfg.mean_daily_uptime_hours * 3600.0
-    rows = enumerate(population._session_rows())
-    for index, (peer, tz, is_always_on, device) in rows:
+    store = population.store
+    for index in range(count):
         if chosen is not None and index not in chosen:
             continue
-        if is_always_on:
+        peer = store.handle(index)
+        if store.always_on[index]:
             sim.schedule(rng.uniform(0, 3600.0), peer.boot)
             continue
+        tz = float(store.tz[index])
+        device = store.device_at(index)
         if device is None:
             _schedule_peer_days(system, peer, tz, uptime_mean, rng)
         else:

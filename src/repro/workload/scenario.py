@@ -88,7 +88,7 @@ class ScenarioConfig:
     #: (the default) runs the classic single trace; a config factors the
     #: scenario into per-region sub-scenarios fanned across the runner's
     #: process pool and merged — a *different* (region-factored) trace from
-    #: the unsharded one, but byte-invariant to the shard width and store.
+    #: the unsharded one, but byte-invariant to the shard width.
     #: Sharded runs dispatch through
     #: :func:`repro.runner.run_scenario_artifact`, not :func:`run_scenario`.
     sharding: ShardingConfig | None = None

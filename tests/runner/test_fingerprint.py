@@ -38,8 +38,6 @@ def _candidates(value, name):
         return ["strict" if value != "strict" else "observe"]
     if name == "kernel":  # constrained choice; 'auto' resolves before hashing
         return ["python" if value != "python" else "numpy"]
-    if name == "store":  # constrained choice; 'auto' resolves before hashing
-        return ["object" if value != "object" else "columnar"]
     if name == "shards":  # positive int or 'auto' (resolves before hashing)
         return [4 if value != 4 else 2]
     if name == "active_peer_cap":  # Optional[int]; None = every peer active
@@ -281,22 +279,6 @@ def test_auto_kernel_resolves_through_env(monkeypatch):
     assert numpy_fp != python_fp
     assert numpy_fp == fingerprint_config(SystemConfig(kernel="numpy"))
     assert python_fp == fingerprint_config(SystemConfig(kernel="python"))
-
-
-def test_auto_store_resolves_through_env(monkeypatch):
-    # Same env-indirection contract as kernel: the population store 'auto'
-    # hashes as whatever REPRO_POPULATION_STORE makes it mean at run time,
-    # so an object-graph run never shares a slot with a columnar run.
-    from repro.workload.population import PopulationConfig
-
-    auto = PopulationConfig(store="auto")
-    monkeypatch.setenv("REPRO_POPULATION_STORE", "object")
-    object_fp = fingerprint_config(auto)
-    monkeypatch.setenv("REPRO_POPULATION_STORE", "columnar")
-    columnar_fp = fingerprint_config(auto)
-    assert object_fp != columnar_fp
-    assert object_fp == fingerprint_config(PopulationConfig(store="object"))
-    assert columnar_fp == fingerprint_config(PopulationConfig(store="columnar"))
 
 
 def test_auto_shards_resolves_through_env(monkeypatch):

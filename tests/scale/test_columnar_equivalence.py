@@ -1,9 +1,10 @@
-"""Property tests: the columnar store is the object graph, byte for byte.
+"""Property tests: the columnar store is the eager oracle, byte for byte.
 
 Hypothesis drives population shapes (size, corporate sites, broken and
-attacker fractions, seeds) through both store implementations and checks
-field-for-field equality — first through dormant column reads (which must
-not materialize anyone), then through full materialization (which must
+attacker fractions, seeds) through the columnar build and the frozen
+eager oracle (``tests/scale/conftest.py``) and checks field-for-field
+equality — first through dormant column reads (which must not
+materialize anyone), then through full materialization (which must
 reproduce the eager nodes' deep state: link capacities, RNG stream
 positions, channel streams).
 """
@@ -17,7 +18,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from tests.scale.conftest import build_store_world  # noqa: E402
+from tests.scale.conftest import (  # noqa: E402
+    build_eager_world, build_store_world, session_columns,
+)
 
 pytestmark = pytest.mark.scale
 
@@ -49,8 +52,8 @@ def _build_both(seed, n_peers, corporate, attacker, broken):
         broken_fraction=broken,
     )
     return (
-        build_store_world("object", seed, **overrides),
-        build_store_world("columnar", seed, **overrides),
+        build_eager_world(seed, **overrides),
+        build_store_world(seed, **overrides),
     )
 
 
@@ -62,7 +65,7 @@ def test_build_is_field_for_field_equal_without_materializing(
     (sys_o, _, pop_o), (sys_c, _, pop_c) = _build_both(
         seed, n_peers, corporate, attacker, broken)
     store = pop_c.store
-    assert store is not None and len(store) == pop_o.peer_count()
+    assert len(store) == pop_o.peer_count()
 
     for node, handle in zip(pop_o.iter_peers(), pop_c.iter_peers()):
         for attr in DORMANT_ATTRS:
@@ -76,8 +79,7 @@ def test_build_is_field_for_field_equal_without_materializing(
     assert store.materialized_count() == 0
 
     # Population-level structures match.
-    assert pop_c.always_on == pop_o.always_on
-    assert dict(pop_c.tz_offset) == dict(pop_o.tz_offset)
+    assert session_columns(pop_c) == (pop_o.always_on, pop_o.tz_offset)
     assert set(pop_c.sites) == set(pop_o.sites)
 
     # Every shared RNG stream ends the build at the identical position —
@@ -119,8 +121,8 @@ def test_materialization_reproduces_the_eager_nodes(
 )
 def test_sample_peers_selects_identical_victims(seed, n_peers, sample_seed):
     # rng.sample depends only on population size and order, so seeded
-    # fault/adversary victim selection is store-independent — and the
-    # columnar side must serve it without materializing anyone.
+    # fault/adversary victim selection matches the eager node list — and
+    # the store must serve it without materializing anyone.
     (_, _, pop_o), (_, _, pop_c) = _build_both(seed, n_peers, 0.0, 0.0, 0.0)
     k = max(1, n_peers // 3)
     chosen_o = pop_o.sample_peers(random.Random(sample_seed), k)
@@ -136,7 +138,7 @@ def test_sample_peers_selects_identical_victims(seed, n_peers, sample_seed):
     data=st.data(),
 )
 def test_materialize_mutate_release_round_trip(seed, n_peers, data):
-    _, _, pop = build_store_world("columnar", seed, n_peers=n_peers)
+    _, _, pop = build_store_world(seed, n_peers=n_peers)
     store = pop.store
     i = data.draw(st.integers(0, n_peers - 1), label="row")
     handle = store.handle(i)

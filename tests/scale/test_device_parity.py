@@ -1,32 +1,24 @@
 """Device-tier parity: heterogeneous classes are a pure leaf extension.
 
-Two properties pin the tentpole down:
-
-* **Build parity** — with a device mix enabled, the columnar store's
-  packed device columns report the exact class, NAT override, always-on
-  flag, and session schedule the eager object build produces, without
-  materializing a single peer, and every shared RNG stream ends the
-  build at the identical position.
-* **Trace parity** — a whole tiered scenario (uplink caps, cache
-  budgets, class-driven sessions, mobility and busy-hour modifiers all
-  live) produces a byte-identical value-canonical trace under both
-  stores.
+With a device mix enabled, the columnar store's packed device columns
+report the exact class, NAT override, always-on flag, and session
+schedule the frozen eager oracle produces, without materializing a
+single peer, and every shared RNG stream ends the build at the identical
+position.  A whole tiered scenario's trace is pinned by digest in
+``test_pinned_traces.py``.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.runner import run_scenario_artifact  # noqa: E402
-from repro.workload.devices import PRESET_MIXES, default_mix  # noqa: E402
+from repro.workload.devices import PRESET_MIXES  # noqa: E402
 
 from tests.scale.conftest import (  # noqa: E402
-    build_store_world, tiny_scenario, trace_digest,
+    build_eager_world, build_store_world, session_columns,
 )
 from tests.scale.test_columnar_equivalence import DORMANT_ATTRS  # noqa: E402
 
@@ -53,8 +45,8 @@ def _build_both(seed, n_peers, mix_name, attacker, cap):
         active_peer_cap=cap,
     )
     return (
-        build_store_world("object", seed, **overrides),
-        build_store_world("columnar", seed, **overrides),
+        build_eager_world(seed, **overrides),
+        build_store_world(seed, **overrides),
     )
 
 
@@ -64,7 +56,7 @@ def test_tiered_build_is_dormant_equal(seed, n_peers, mix_name, attacker, cap):
     (sys_o, _, pop_o), (sys_c, _, pop_c) = _build_both(
         seed, n_peers, mix_name, attacker, cap)
     store = pop_c.store
-    assert store is not None and len(store) == pop_o.peer_count()
+    assert len(store) == pop_o.peer_count()
 
     for node, handle in zip(pop_o.iter_peers(), pop_c.iter_peers()):
         for attr in DEVICE_ATTRS:
@@ -78,11 +70,10 @@ def test_tiered_build_is_dormant_equal(seed, n_peers, mix_name, attacker, cap):
     # (class always_on_prob ORs into the base draw), session schedule.
     assert pop_c.device_census() == pop_o.device_census()
     assert pop_c.device_classes() == pop_o.device_classes()
-    assert pop_c.always_on == pop_o.always_on
-    assert dict(pop_c.tz_offset) == dict(pop_o.tz_offset)
+    assert session_columns(pop_c) == (pop_o.always_on, pop_o.tz_offset)
     assert sys_c.stats().as_dict() == sys_o.stats().as_dict()
 
-    # Device draws consume the same stream positions in both builds.
+    # Device draws consume the same stream positions as the oracle's.
     assert sys_c.rng.getstate() == sys_o.rng.getstate()
     assert sys_c.broadband._rng.getstate() == sys_o.broadband._rng.getstate()
     assert sys_c.nat_model._rng.getstate() == sys_o.nat_model._rng.getstate()
@@ -102,23 +93,3 @@ def test_tiered_materialization_reproduces_the_eager_nodes(
         assert handle.upload_rate_cap() == node.upload_rate_cap()
         assert handle.rng.getstate() == node.rng.getstate()
     assert pop_c.store.materialized_count() == len(pop_c.store)
-
-
-def _tiered(**overrides):
-    base = tiny_scenario()
-    return dataclasses.replace(
-        base,
-        population=dataclasses.replace(base.population, device=default_mix()),
-        **overrides,
-    )
-
-
-def test_tiered_trace_is_store_independent(monkeypatch):
-    monkeypatch.setenv("REPRO_POPULATION_STORE", "object")
-    obj = run_scenario_artifact(_tiered())
-    monkeypatch.setenv("REPRO_POPULATION_STORE", "columnar")
-    col = run_scenario_artifact(_tiered())
-    assert trace_digest(obj) == trace_digest(col)
-    # The artifact's device record (census + guid→class) agrees too.
-    assert obj.devices == col.devices
-    assert obj.devices["census"]

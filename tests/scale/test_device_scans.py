@@ -1,10 +1,10 @@
-"""Class-filtered population scans: store- and width-independent.
+"""Class-filtered population scans: oracle-exact and width-independent.
 
 ``iter_peers(device_class=...)`` and ``sample_peers(..., device_class=...)``
 are the sanctioned ways to touch one tier; they must pick the identical
-creation-order peers whichever store backs the population, stay dormant
-on the columnar store, and survive region sharding (a tiered scenario's
-trace is the same at any shard width).
+creation-order peers the frozen eager oracle does, stay dormant on the
+columnar store, and survive region sharding (a tiered scenario's trace
+is the same at any shard width).
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from repro.runner import run_scenario_artifact
 from repro.workload.devices import default_mix, router_heavy
 from repro.workload.sharding import ShardingConfig
 
-from tests.scale.conftest import build_store_world, tiny_scenario, trace_digest
+from tests.scale.conftest import (
+    build_eager_world, build_store_world, tiny_scenario, trace_digest,
+)
 
 pytestmark = pytest.mark.scale
 
@@ -27,8 +29,8 @@ CLASSES = ("desktop", "smartrouter", "mobile", "settop")
 
 def _both(**overrides):
     return (
-        build_store_world("object", 11, **overrides)[2],
-        build_store_world("columnar", 11, **overrides)[2],
+        build_eager_world(11, **overrides)[2],
+        build_store_world(11, **overrides)[2],
     )
 
 
@@ -63,7 +65,7 @@ def test_filtered_sampling_draws_the_same_peers(cls):
     assert [p.guid for p in col_pick] == [p.guid for p in obj_pick]
     assert all(p.device_class == cls for p in col_pick)
     # The draw depends only on the filtered tier size, so it consumes the
-    # same RNG stream either way; an oversized k clamps to the tier.
+    # same RNG stream as the oracle's; an oversized k clamps to the tier.
     tier = len(list(pop_c.iter_peers(device_class=cls)))
     big = pop_c.sample_peers(random.Random(3), tier + 50, device_class=cls)
     assert len(big) == tier

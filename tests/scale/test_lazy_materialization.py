@@ -27,7 +27,7 @@ HOUR = 3600.0
 
 class TestDormantReadsAndRelease:
     def test_dormant_reads_do_not_materialize(self):
-        _, _, pop = build_store_world("columnar", seed=3, n_peers=12)
+        _, _, pop = build_store_world(seed=3, n_peers=12)
         store = pop.store
         for peer in pop.iter_peers():
             peer.guid, peer.network_region, peer.online, peer.boot_count
@@ -35,7 +35,7 @@ class TestDormantReadsAndRelease:
         assert store.peak_materialized == 0
 
     def test_setattr_materializes(self):
-        _, _, pop = build_store_world("columnar", seed=3, n_peers=12)
+        _, _, pop = build_store_world(seed=3, n_peers=12)
         store = pop.store
         handle = store.handle(0)
         handle.uploads_enabled = False
@@ -43,7 +43,7 @@ class TestDormantReadsAndRelease:
         assert store.peak_materialized == 1
 
     def test_release_refuses_online_peer(self):
-        _, _, pop = build_store_world("columnar", seed=3, n_peers=12)
+        _, _, pop = build_store_world(seed=3, n_peers=12)
         store = pop.store
         node = store.materialize(0)
         node.boot()
@@ -51,7 +51,7 @@ class TestDormantReadsAndRelease:
             store.release(node)
 
     def test_release_refuses_peer_with_cache(self):
-        _, catalog, pop = build_store_world("columnar", seed=3, n_peers=12)
+        _, catalog, pop = build_store_world(seed=3, n_peers=12)
         store = pop.store
         node = store.materialize(0)
         node.cache[catalog.objects[0].cid] = object()
@@ -59,7 +59,7 @@ class TestDormantReadsAndRelease:
             store.release(node)
 
     def test_peak_materialized_tracks_high_water_mark(self):
-        _, _, pop = build_store_world("columnar", seed=3, n_peers=12)
+        _, _, pop = build_store_world(seed=3, n_peers=12)
         store = pop.store
         nodes = [store.materialize(i) for i in range(5)]
         for node in nodes:
@@ -74,7 +74,7 @@ class TestFaultsOnDormantPeers:
         monkeypatch.setenv("REPRO_INVARIANTS", "strict")
         cfg = tiny_scenario(
             seed=9,
-            population=PopulationConfig(n_peers=120, store="columnar"),
+            population=PopulationConfig(n_peers=120),
             faults=(
                 RegionPartition(
                     "partition", start=2 * HOUR, duration=3 * HOUR,
@@ -93,7 +93,7 @@ class TestFaultsOnDormantPeers:
         monkeypatch.setenv("REPRO_INVARIANTS", "strict")
         cfg = tiny_scenario(
             seed=9,
-            population=PopulationConfig(n_peers=120, store="columnar"),
+            population=PopulationConfig(n_peers=120),
             faults=(
                 AdversarialInfestation(
                     "infest", start=1 * HOUR, duration=6 * HOUR,
@@ -112,7 +112,7 @@ class TestFaultsOnDormantPeers:
         monkeypatch.setenv("REPRO_INVARIANTS", "strict")
         cfg = tiny_scenario(
             seed=21,
-            population=PopulationConfig(n_peers=120, store="columnar"),
+            population=PopulationConfig(n_peers=120),
             adversary=AdversaryConfig(fraction=0.15),
             system=SystemConfig(defense=DefenseConfig(enabled=True)),
         )
@@ -132,9 +132,7 @@ class TestActivePeerCap:
         cfg = tiny_scenario(
             seed=13,
             duration_days=0.25,
-            population=PopulationConfig(
-                n_peers=200, store="columnar", active_peer_cap=20
-            ),
+            population=PopulationConfig(n_peers=200, active_peer_cap=20),
             demand=DemandConfig(total_downloads=40, duration_days=0.25),
         )
         result = run_scenario(cfg)

@@ -1,15 +1,9 @@
-"""Scale-parity: golden experiments and sharded runs vs the seed semantics.
+"""Scale-parity: sharded runs vs the single-process semantics.
 
-Two independence properties close the loop on the tentpole:
-
-* **Store independence** — the flagship experiments render byte-identical
-  text whether the population lives in the object graph or the columnar
-  store.  ``store`` resolves into the config fingerprint, so the two runs
-  can share one memo without colliding.
-* **Width independence** — a region-sharded scenario produces the same
-  value-canonical trace whether its shards run in-process (``shards=1``)
-  or fanned across a process pool (``shards=4``), and whichever store the
-  shard workers use.
+**Width independence** — a region-sharded scenario produces the same
+value-canonical trace whether its shards run in-process (``shards=1``) or
+fanned across a process pool (``shards=4``).  The 2-shard trace itself is
+pinned by digest in ``test_pinned_traces.py``.
 """
 
 from __future__ import annotations
@@ -18,37 +12,12 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import common, exp_fig4, exp_table1, exp_vod_policies
-from repro.runner import Orchestrator, run_scenario_artifact
+from repro.runner import run_scenario_artifact
 from repro.workload.sharding import ShardingConfig
 
 from tests.scale.conftest import tiny_scenario, trace_digest
 
 pytestmark = pytest.mark.scale
-
-
-@pytest.fixture
-def fresh_memo(monkeypatch):
-    """Give the test its own (empty) artifact store, restored afterwards."""
-    memo: dict = {}
-    monkeypatch.setattr(common, "_ARTIFACTS", memo)
-    monkeypatch.setattr(common, "_RUNNER", Orchestrator(memory=memo))
-    return memo
-
-
-@pytest.mark.parametrize("module", [
-    exp_table1,
-    exp_fig4,
-    # The policy sweep runs four full scenarios per store; keep it out of
-    # the tier-1 wall clock.
-    pytest.param(exp_vod_policies, marks=pytest.mark.slow),
-])
-def test_experiment_text_is_store_independent(module, fresh_memo, monkeypatch):
-    monkeypatch.setenv("REPRO_POPULATION_STORE", "object")
-    object_text = module.run("small", 42).text
-    monkeypatch.setenv("REPRO_POPULATION_STORE", "columnar")
-    columnar_text = module.run("small", 42).text
-    assert columnar_text == object_text
 
 
 def _sharded(shards: int):
@@ -73,14 +42,6 @@ def test_shard_reconciliation_is_clean():
     assert sum(
         r["peers"] for r in reconcile["per_region"].values()
     ) == art.config.population.n_peers
-
-
-def test_sharded_run_is_store_independent(monkeypatch):
-    monkeypatch.setenv("REPRO_POPULATION_STORE", "object")
-    obj = run_scenario_artifact(_sharded(2))
-    monkeypatch.setenv("REPRO_POPULATION_STORE", "columnar")
-    col = run_scenario_artifact(_sharded(2))
-    assert trace_digest(obj) == trace_digest(col)
 
 
 def test_sharded_and_unsharded_agree_on_totals():

@@ -11,8 +11,9 @@ import json
 
 import pytest
 
-from benchmarks._results import HISTORY_LIMIT, record_results, wall_seconds
+from benchmarks._results import record_results, wall_seconds
 from benchmarks.gate import run_gate
+from repro.experiments.exp_scale import HISTORY_LIMIT
 
 
 class TestRecordResults:

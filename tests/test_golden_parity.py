@@ -32,19 +32,6 @@ def test_small_scale_output_is_byte_identical(module, golden):
     assert module.run("small", 42).text == expected
 
 
-@pytest.mark.parametrize("store", ["object", "columnar"])
-def test_goldens_are_store_independent(store, monkeypatch):
-    """Both population stores must reproduce the goldens exactly.
-
-    The goldens were rendered by the eager object-graph population; the
-    columnar store's contract is byte-identical traces, so the same bytes
-    must come out whichever store the ``auto`` default resolves to.
-    """
-    monkeypatch.setenv("REPRO_POPULATION_STORE", store)
-    expected = (GOLDEN_DIR / "exp_table1_small_seed42.txt").read_text()
-    assert exp_table1.run("small", 42).text == expected
-
-
 @pytest.mark.parametrize("kernel", ["python", "numpy"])
 def test_goldens_are_kernel_independent(kernel, monkeypatch):
     """Both water-filling kernels must reproduce the goldens exactly.

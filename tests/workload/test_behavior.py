@@ -6,14 +6,9 @@ import pytest
 
 from repro.core import NetSessionSystem
 from repro.workload.behavior import BehaviorConfig, UserBehavior
-from repro.workload.population import DAY, Population
+from repro.workload.population import DAY
 
-
-def make_population(system, n=50, uploads_enabled=True):
-    peers = [system.create_peer(uploads_enabled=uploads_enabled)
-             for _ in range(n)]
-    return Population(peers=peers, tz_offset={p.guid: 0.0 for p in peers},
-                      always_on=set())
+from tests.workload.conftest import store_population
 
 
 class TestAbandonment:
@@ -80,20 +75,20 @@ class TestAbandonment:
 
 class TestSettingChanges:
     def test_toggle_rates_roughly_match_table3(self, system):
-        population = make_population(system, n=4000, uploads_enabled=True)
+        population = store_population(system, 4000, uploads_enabled=True)
         behavior = UserBehavior(system, BehaviorConfig())
         scheduled = behavior.schedule_setting_changes(population, 30.0)
         # ~1.9% of enabled peers toggle at least once; 4000 peers -> ~76.
         assert 20 <= scheduled <= 200
 
     def test_disabled_peers_rarely_toggle(self, system):
-        population = make_population(system, n=4000, uploads_enabled=False)
+        population = store_population(system, 4000, uploads_enabled=False)
         behavior = UserBehavior(system, BehaviorConfig())
         scheduled = behavior.schedule_setting_changes(population, 30.0)
         assert scheduled <= 15
 
     def test_toggles_flip_the_setting(self, system):
-        population = make_population(system, n=30, uploads_enabled=True)
+        population = store_population(system, 30, uploads_enabled=True)
         behavior = UserBehavior(system, BehaviorConfig(
             toggle_once_if_enabled=1.0, toggle_twice_if_enabled=0.0))
         behavior.schedule_setting_changes(population, 1.0)
@@ -109,9 +104,7 @@ class TestSettingChanges:
 
 class TestBusyLinks:
     def test_busy_periods_toggle_backoff(self, system):
-        population = make_population(system, n=40)
-        for p in population.peers:
-            p.boot()
+        population = store_population(system, 40, boot=True)
         behavior = UserBehavior(system, BehaviorConfig())
         scheduled = behavior.schedule_link_busy_periods(population, 5.0)
         assert scheduled > 0
@@ -123,9 +116,6 @@ class TestBusyLinks:
         from repro.core import NetSessionSystem, SystemConfig
         quiet = NetSessionSystem(
             SystemConfig().with_client(link_busy_prob_per_hour=0.0), seed=4)
-        peers = [quiet.create_peer() for _ in range(10)]
-        population = Population(peers=peers,
-                                tz_offset={p.guid: 0.0 for p in peers},
-                                always_on=set())
+        population = store_population(quiet, 10)
         behavior = UserBehavior(quiet, BehaviorConfig())
         assert behavior.schedule_link_busy_periods(population, 5.0) == 0

@@ -9,13 +9,9 @@ from repro.analysis.guid_graphs import (
 )
 from repro.core import NetSessionSystem
 from repro.workload.cloning import CloningConfig, CloningModel
-from repro.workload.population import DAY, Population
+from repro.workload.population import DAY
 
-
-def make_population(system, n):
-    peers = [system.create_peer() for _ in range(n)]
-    return Population(peers=peers, tz_offset={p.guid: 0.0 for p in peers},
-                      always_on=set())
+from tests.workload.conftest import store_population
 
 
 def boot_daily(system, peers, days):
@@ -27,14 +23,14 @@ def boot_daily(system, peers, days):
 
 class TestCensus:
     def test_affected_fraction_respected(self, system):
-        population = make_population(system, 2000)
+        population = store_population(system, 2000)
         model = CloningModel(system, CloningConfig(affected_fraction=0.1))
         census = model.apply(population, 7.0)
         affected = sum(census.values())
         assert affected == pytest.approx(200, abs=60)
 
     def test_zero_affected(self, system):
-        population = make_population(system, 100)
+        population = store_population(system, 100)
         model = CloningModel(system, CloningConfig(affected_fraction=0.0))
         census = model.apply(population, 7.0)
         assert sum(census.values()) == 0
@@ -49,7 +45,7 @@ class TestCensus:
 class TestPatternsEmerge:
     def run_pattern(self, pattern_weights, days=8):
         system = NetSessionSystem(seed=21)
-        population = make_population(system, 40)
+        population = store_population(system, 40)
         boot_daily(system, population.peers, days)
         cfg = CloningConfig(affected_fraction=1.0, **pattern_weights)
         model = CloningModel(system, cfg)
@@ -80,7 +76,7 @@ class TestPatternsEmerge:
 
     def test_unaffected_installs_stay_linear(self):
         system = NetSessionSystem(seed=22)
-        population = make_population(system, 30)
+        population = store_population(system, 30)
         boot_daily(system, population.peers, 8)
         system.run(until=8 * DAY)
         census = figure12_pattern_census(system.logstore)
@@ -90,7 +86,7 @@ class TestPatternsEmerge:
 class TestIrregularPattern:
     def test_irregular_produces_some_nonlinear_history(self):
         system = NetSessionSystem(seed=23)
-        population = make_population(system, 30)
+        population = store_population(system, 30)
         boot_daily(system, population.peers, 8)
         model = CloningModel(system, CloningConfig(
             affected_fraction=1.0, failed_update_weight=0.0,

@@ -6,26 +6,20 @@ import pytest
 
 from repro.core import NetSessionSystem
 from repro.workload.mobility import MobilityConfig, MobilityModel
-from repro.workload.population import DAY, Population
+from repro.workload.population import DAY
 
-
-def make_population(system, n):
-    peers = [system.create_peer() for _ in range(n)]
-    for p in peers:
-        p.boot()
-    return Population(peers=peers, tz_offset={p.guid: 0.0 for p in peers},
-                      always_on={p.guid for p in peers})
+from tests.workload.conftest import store_population
 
 
 class TestClasses:
     def test_census_sums_to_population(self, system):
-        population = make_population(system, 200)
+        population = store_population(system, 200, boot=True)
         model = MobilityModel(system)
         census = model.apply(population, 5.0)
         assert sum(census.values()) == 200
 
     def test_class_mix_roughly_configured(self, system):
-        population = make_population(system, 1000)
+        population = store_population(system, 1000, boot=True)
         cfg = MobilityConfig()
         model = MobilityModel(system, cfg)
         census = model.apply(population, 5.0)
@@ -40,7 +34,7 @@ class TestClasses:
 
 class TestMovement:
     def test_commuters_change_as(self, system):
-        population = make_population(system, 150)
+        population = store_population(system, 150, boot=True)
         model = MobilityModel(system, MobilityConfig(
             commuter_fraction=1.0, roamer_fraction=0.0, traveler_fraction=0.0,
             commuter_as_change_prob=1.0))
@@ -56,7 +50,7 @@ class TestMovement:
         assert multi_as > 0.7 * len(by_guid)
 
     def test_stationary_peers_never_move(self, system):
-        population = make_population(system, 80)
+        population = store_population(system, 80, boot=True)
         model = MobilityModel(system, MobilityConfig(
             commuter_fraction=0.0, roamer_fraction=0.0, traveler_fraction=0.0))
         model.apply(population, 3.0)
@@ -69,7 +63,7 @@ class TestMovement:
 
     def test_travelers_move_far(self, system):
         from repro.net.geo import haversine_km
-        population = make_population(system, 60)
+        population = store_population(system, 60, boot=True)
         model = MobilityModel(system, MobilityConfig(
             commuter_fraction=0.0, roamer_fraction=0.0, traveler_fraction=1.0))
         model.apply(population, 4.0)

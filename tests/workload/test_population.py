@@ -76,8 +76,9 @@ class TestSessions:
     def test_always_on_peers_stay_online(self, built):
         system, population = built
         system.run(until=3 * DAY)
-        for peer in population.peers:
-            if peer.guid in population.always_on:
+        always_on = population.store.always_on
+        for i, peer in enumerate(population.iter_peers()):
+            if always_on[i]:
                 assert peer.online
 
 
