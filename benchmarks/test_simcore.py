@@ -467,15 +467,29 @@ def test_reputation_overhead_scenario():
             **config.__dict__,
             "system": config.system.with_defense(enabled=defense),
         })
-        started = time.perf_counter()
-        run_scenario(config)
-        return time.perf_counter() - started
+        # Fence the collector so a GC pause landing in one arm doesn't
+        # masquerade as overhead.
+        gc.collect()
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            run_scenario(config)
+            return time.perf_counter() - started
+        finally:
+            gc.enable()
 
-    # Interleaved min-of-N, same rationale as the observe-mode bench.
+    # Interleaved min-of-10, alternating which arm goes first each round,
+    # as in the audit-hook bench: a fixed order bills allocator drift and
+    # host slow spells to whichever arm runs second.
     off_wall = on_wall = float("inf")
-    for _ in range(3):
-        off_wall = min(off_wall, run_mode(False))
-        on_wall = min(on_wall, run_mode(True))
+    for i in range(10):
+        order = (False, True) if i % 2 == 0 else (True, False)
+        for defense in order:
+            wall = run_mode(defense)
+            if defense:
+                on_wall = min(on_wall, wall)
+            else:
+                off_wall = min(off_wall, wall)
     overhead = on_wall / off_wall - 1.0
     RESULTS["reputation_overhead"] = {
         "off_wall_seconds": round(off_wall, 3),

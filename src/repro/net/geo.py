@@ -23,6 +23,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from repro.net.weighted import WeightedPicker
+
 __all__ = [
     "Region", "City", "Country", "GeoRecord", "World", "GeoDatabase",
     "haversine_km", "build_core_world", "REGIONS",
@@ -104,19 +106,27 @@ class World:
             raise ValueError("duplicate country codes in world definition")
         self.countries = list(countries)
         self.by_code = {c.code: c for c in countries}
-        self._weights = [c.peer_weight for c in countries]
-        total = sum(self._weights)
+        total = sum(c.peer_weight for c in countries)
         if total <= 0:
             raise ValueError("total peer weight must be positive")
+        self._country_picker = WeightedPicker(
+            self.countries, [c.peer_weight for c in countries])
+        #: Country code -> city picker, built on a country's first draw.
+        self._city_pickers: dict[str, WeightedPicker[City]] = {}
 
     def sample_country(self, rng: random.Random) -> Country:
         """Draw a country proportionally to its peer-population weight."""
-        return rng.choices(self.countries, weights=self._weights, k=1)[0]
+        return self._country_picker.pick(rng)
 
     def sample_city(self, country: Country, rng: random.Random) -> City:
         """Draw a city within a country, weighted by city size."""
-        weights = [c.weight for c in country.cities]
-        return rng.choices(list(country.cities), weights=weights, k=1)[0]
+        if self.by_code.get(country.code) is not country:
+            # Not one of this world's countries: nothing cached to reuse.
+            return _city_picker(country).pick(rng)
+        picker = self._city_pickers.get(country.code)
+        if picker is None:
+            picker = self._city_pickers[country.code] = _city_picker(country)
+        return picker.pick(rng)
 
     def region_weight(self, region: str) -> float:
         """Total peer weight of all countries in a region."""
@@ -124,6 +134,10 @@ class World:
 
     def __len__(self) -> int:
         return len(self.countries)
+
+
+def _city_picker(country: Country) -> WeightedPicker[City]:
+    return WeightedPicker(country.cities, [c.weight for c in country.cities])
 
 
 class GeoDatabase:

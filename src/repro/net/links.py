@@ -10,10 +10,12 @@ server as a single high-capacity egress resource.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from repro.net.flows import Resource
+from repro.net.weighted import WeightedPicker
 
 __all__ = ["AccessLink", "BroadbandTier", "BroadbandModel", "EdgeCapacityModel",
            "DEFAULT_BROADBAND_TIERS", "mbps"]
@@ -135,26 +137,30 @@ class BroadbandModel:
         if total <= 0:
             raise ValueError("tier weights must sum to a positive value")
         self._rng = rng
-        self._tiers = tiers
-        self._weights = [t.weight / total for t in tiers]
+        self._picker = WeightedPicker(tiers, [t.weight / total for t in tiers])
 
-    def sample(self, owner: str, speed_multiplier: float = 1.0) -> AccessLink:
-        """Draw an access link for peer ``owner``.
+    def draw(self, speed_multiplier: float = 1.0) -> tuple[str, float, float]:
+        """Draw one link's ``(tier name, down, up)``, capacities in bytes/s.
 
         ``speed_multiplier`` scales both directions (used for per-country or
         per-AS speed differences).
         """
         if speed_multiplier <= 0:
             raise ValueError(f"speed multiplier must be positive, got {speed_multiplier}")
-        tier = self._rng.choices(self._tiers, weights=self._weights, k=1)[0]
+        tier = self._picker.pick(self._rng)
         down = _log_uniform(self._rng, *tier.down_mbps) * speed_multiplier
         up = _log_uniform(self._rng, *tier.up_mbps) * speed_multiplier
         # Upstream never exceeds downstream on residential links.
         up = min(up, down)
+        return tier.name, mbps(down), mbps(up)
+
+    def sample(self, owner: str, speed_multiplier: float = 1.0) -> AccessLink:
+        """Draw an access link for peer ``owner`` (see :meth:`draw`)."""
+        tier, down, up = self.draw(speed_multiplier)
         return AccessLink(
-            downlink=Resource(f"{owner}/down", mbps(down)),
-            uplink=Resource(f"{owner}/up", mbps(up)),
-            tier=tier.name,
+            downlink=Resource(f"{owner}/down", down),
+            uplink=Resource(f"{owner}/up", up),
+            tier=tier,
         )
 
 
@@ -179,8 +185,6 @@ class EdgeCapacityModel:
 
 def _log_uniform(rng: random.Random, low: float, high: float) -> float:
     """Sample log-uniformly from [low, high]."""
-    import math
-
     if low <= 0 or high < low:
         raise ValueError(f"invalid log-uniform range [{low}, {high}]")
     if high == low:

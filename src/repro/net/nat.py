@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
+from repro.net.weighted import WeightedPicker
+
 __all__ = ["NATType", "NATProfile", "NATModel", "can_connect", "DEFAULT_NAT_MIX"]
 
 
@@ -105,22 +107,28 @@ class NATModel:
         if not 0.0 <= misclassify_prob < 1.0:
             raise ValueError(f"misclassify_prob out of range: {misclassify_prob}")
         self._types = list(self._mix.keys())
-        self._weights = [self._mix[t] / total for t in self._types]
+        self._picker = WeightedPicker(
+            self._types, [self._mix[t] / total for t in self._types])
         self.misclassify_prob = misclassify_prob
 
-    def sample(self, rng: random.Random | None = None) -> NATProfile:
-        """Draw a peer's NAT profile (true type + STUN-reported type).
+    def draw(self, rng: random.Random | None = None) -> tuple[NATType, NATType]:
+        """Draw a peer's ``(true type, STUN-reported type)``.
 
         ``rng`` overrides the model's own stream — the fault-injection layer
         passes a per-fault RNG so rebind storms are reproducible without
         perturbing the population's draw sequence.
         """
         rng = self._rng if rng is None else rng
-        true_type = rng.choices(self._types, weights=self._weights, k=1)[0]
+        true_type = self._picker.pick(rng)
         reported = true_type
         if rng.random() < self.misclassify_prob:
             others = [t for t in self._types if t is not true_type]
             reported = rng.choice(others)
+        return true_type, reported
+
+    def sample(self, rng: random.Random | None = None) -> NATProfile:
+        """Draw a peer's NAT profile (see :meth:`draw`)."""
+        true_type, reported = self.draw(rng)
         return NATProfile(true_type=true_type, reported_type=reported)
 
     def rebind(self, profile: NATProfile, rng: random.Random) -> NATProfile:

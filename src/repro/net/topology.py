@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from repro.net.geo import World, Country
+from repro.net.weighted import WeightedPicker
 
 __all__ = ["AutonomousSystem", "ASTopology", "build_topology"]
 
@@ -62,6 +63,8 @@ class ASTopology:
         for a in ases:
             if a.kind == "eyeball":
                 self._eyeballs_by_country.setdefault(a.country_code, []).append(a)
+        #: Country code -> size-weighted eyeball picker, built on first draw.
+        self._as_pickers: dict[str, WeightedPicker[AutonomousSystem]] = {}
 
     def eyeball_ases(self, country_code: str) -> list[AutonomousSystem]:
         """Eyeball (access) ASes serving a country."""
@@ -69,11 +72,14 @@ class ASTopology:
 
     def sample_as(self, country_code: str, rng: random.Random) -> AutonomousSystem:
         """Pick the AS a new peer in ``country_code`` attaches to."""
-        candidates = self.eyeball_ases(country_code)
-        if not candidates:
-            raise KeyError(f"no eyeball ASes for country {country_code!r}")
-        weights = [a.size_weight for a in candidates]
-        return rng.choices(candidates, weights=weights, k=1)[0]
+        picker = self._as_pickers.get(country_code)
+        if picker is None:
+            candidates = self.eyeball_ases(country_code)
+            if not candidates:
+                raise KeyError(f"no eyeball ASes for country {country_code!r}")
+            picker = self._as_pickers[country_code] = WeightedPicker(
+                candidates, [a.size_weight for a in candidates])
+        return picker.pick(rng)
 
     def directly_connected(self, asn_a: int, asn_b: int) -> bool:
         """True if the two ASes share an edge in the inter-AS graph."""

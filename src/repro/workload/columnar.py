@@ -451,6 +451,10 @@ def build_columnar_store(
     uploads, installed, corruption, attacker, always, tz = [], [], [], [], [], []
     device_i = []
     default_corruption = system.config.client.piece_corruption_prob
+    broadband, nat_model = system.broadband, system.nat_model
+    # Profiles are never mutated in place (a rebind binds a new one), so
+    # rows with equal (true, reported) types share one interned profile.
+    nat_index: dict[tuple[NATType, NATType], int] = {}
     mix = cfg.device
     if mix is not None:
         store._device_classes = mix.classes
@@ -461,11 +465,10 @@ def build_columnar_store(
         country = world.sample_country(sys_rng)
         city = world.sample_city(country, sys_rng)
         asys = topology.sample_as(country.code, sys_rng)
-        link = system.broadband.sample(
-            f"peer{system.next_peer_name_index()}",
-            speed_multiplier=country.speed_multiplier,
-        )
-        nat = system.nat_model.sample()
+        # Claim the row's peerN slot: materialize names its link resources.
+        system.next_peer_name_index()
+        tier, down_bps, up_bps = broadband.draw(country.speed_multiplier)
+        nat = nat_model.draw()
         if installed_from is not None:
             uploads_enabled = sys_rng.random() < installed_from.upload_default_rate
         else:
@@ -486,23 +489,25 @@ def build_columnar_store(
             if rng.random() < cls.always_on_prob:
                 is_always_on = True
             if cls.nat_open_prob is not None and rng.random() < cls.nat_open_prob:
-                nat = NATProfile(true_type=NATType.OPEN,
-                                 reported_type=NATType.OPEN)
+                nat = (NATType.OPEN, NATType.OPEN)
 
         guids.append(guid)
         seeds.append(peer_seed)
         country_i.append(store._countries.intern(country))
         city_i.append(store._cities.intern(city))
         as_i.append(store._ases.intern(asys))
-        tier = link.tier
         t = store._tier_index.get(tier)
         if t is None:
             t = store._tier_index[tier] = len(store._tier_names)
             store._tier_names.append(tier)
         tier_i.append(t)
-        down.append(link.down_bps)
-        up.append(link.up_bps)
-        nat_i.append(store._nats.intern(nat))
+        down.append(down_bps)
+        up.append(up_bps)
+        k = nat_index.get(nat)
+        if k is None:
+            k = nat_index[nat] = store._nats.intern(
+                NATProfile(true_type=nat[0], reported_type=nat[1]))
+        nat_i.append(k)
         uploads.append(1 if uploads_enabled else 0)
         installed.append(installed_from.cp_code if installed_from else 0)
         corruption.append(cfg.broken_corruption_prob if broken else default_corruption)

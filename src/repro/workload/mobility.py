@@ -69,19 +69,24 @@ class MobilityModel:
         self.system = system
         self.config = config if config is not None else MobilityConfig()
         self.rng = random.Random(system.rng.getrandbits(64))
-        self.classes: dict[str, str] = {}
 
     def apply(self, population: Population, duration_days: float) -> dict[str, int]:
         """Classify every peer and schedule its movements.
 
-        Returns the class census (class name -> count).
+        Returns the class census (class name -> count).  With every class
+        fraction zero nobody can move, so the walk is skipped: its draws
+        come from this model's private stream, which nothing else reads.
         """
         census = {"stationary": 0, "commuter": 0, "roamer": 0, "traveler": 0}
+        cfg = self.config
+        if not (cfg.commuter_fraction or cfg.roamer_fraction
+                or cfg.traveler_fraction):
+            census["stationary"] = population.peer_count()
+            return census
         for peer in population.iter_peers():
             device = peer.device
             cls = self._draw_class(
                 device.mobility if device is not None else "default")
-            self.classes[peer.guid] = cls
             census[cls] += 1
             if cls == "commuter":
                 self._schedule_commuter(peer, duration_days)

@@ -178,12 +178,18 @@ def build_population(
     system: NetSessionSystem,
     providers: list[ContentProvider],
     config: PopulationConfig | None = None,
+    *,
+    until: float | None = None,
 ) -> Population:
     """Create peers and schedule their daily online sessions.
 
     Each peer is attributed to the provider it first installed from,
     weighted by that provider's share of downloads — so the Table 4
     upload-default mix emerges naturally.
+
+    ``until`` is the simulated time the run will stop at: session events
+    after it are drawn (so every RNG stream ends where it would without
+    the horizon) but never queued.  None queues every drawn event.
     """
     cfg = config if config is not None else PopulationConfig()
     rng = random.Random(system.rng.getrandbits(64))
@@ -191,7 +197,7 @@ def build_population(
     system.population_store = store
     population = Population(store=store)
     _assign_corporate_sites(population, cfg, rng)
-    _schedule_sessions(system, population, cfg, rng)
+    _schedule_sessions(system, population, cfg, rng, until)
     system.device_mix = cfg.device
     if cfg.device is not None:
         weights = cfg.device.rank_weights()
@@ -240,6 +246,7 @@ def _schedule_sessions(
     population: Population,
     cfg: PopulationConfig,
     rng: random.Random,
+    until: float | None = None,
 ) -> None:
     """Schedule boot/shutdown cycles for every (scheduled) peer.
 
@@ -247,7 +254,8 @@ def _schedule_sessions(
     (with jitter) and shut down after a sampled uptime; a small per-day skip
     probability models days the machine stays off.  With
     ``active_peer_cap`` set, a seeded uniform subset of that size gets
-    schedules and the rest stay dormant until demand boots them.
+    schedules and the rest stay dormant until demand boots them.  Events
+    after ``until`` are drawn but not queued.
     """
     sim = system.sim
     count = population.peer_count()
@@ -261,18 +269,21 @@ def _schedule_sessions(
             continue
         peer = store.handle(index)
         if store.always_on[index]:
-            sim.schedule(rng.uniform(0, 3600.0), peer.boot)
+            delay = rng.uniform(0, 3600.0)
+            if until is None or sim.now + delay <= until:
+                sim.schedule(delay, peer.boot)
             continue
         tz = float(store.tz[index])
         device = store.device_at(index)
         if device is None:
-            _schedule_peer_days(system, peer, tz, uptime_mean, rng)
+            _schedule_peer_days(system, peer, tz, uptime_mean, rng,
+                                until=until)
         else:
             # Class-driven availability: a mobile install keeps short,
             # frequently skipped sessions; a settop box sits in between.
             _schedule_peer_days(
                 system, peer, tz, device.uptime_hours_mean * 3600.0, rng,
-                skip_prob=device.daily_skip_prob)
+                skip_prob=device.daily_skip_prob, until=until)
 
 
 def _schedule_peer_days(
@@ -284,7 +295,13 @@ def _schedule_peer_days(
     *,
     horizon_days: int = 40,
     skip_prob: float = 0.12,
+    until: float | None = None,
 ) -> None:
+    """Queue ``horizon_days`` of one peer's boot/shutdown cycles.
+
+    Every day is drawn, whatever ``until`` says, so the RNG ends in the
+    same state either way; an event later than ``until`` is not queued.
+    """
     sim = system.sim
     for day in range(horizon_days):
         if rng.random() < skip_prob:
@@ -296,8 +313,11 @@ def _schedule_peer_days(
             continue
         uptime = max(1800.0, rng.expovariate(1.0 / uptime_mean))
         uptime = min(uptime, 23.0 * 3600.0)
+        if until is not None and start > until:
+            continue
         sim.schedule_at(start, peer.boot)
-        sim.schedule_at(start + uptime, peer.go_offline)
+        if until is None or start + uptime <= until:
+            sim.schedule_at(start + uptime, peer.go_offline)
 
 
 def diurnal_rate(t: float, tz_offset: float = 0.0) -> float:

@@ -234,7 +234,9 @@ def run_scenario(
     for obj in catalog.objects:
         system.publish(obj)
 
-    population = build_population(system, catalog.providers, cfg.population)
+    horizon = cfg.duration_days * DAY
+    population = build_population(system, catalog.providers, cfg.population,
+                                  until=horizon)
     if cfg.upload_rate_override is not None:
         population.override_upload_settings(
             random.Random(cfg.seed ^ 0x0FF), cfg.upload_rate_override
@@ -286,7 +288,7 @@ def run_scenario(
             seed=cfg.seed, duration_days=cfg.duration_days,
         )
 
-    system.run(until=cfg.duration_days * DAY)
+    system.run(until=horizon)
     finalized = system.finalize_open_downloads()
     # End-of-run audit: the reconciliation checkers need the finalized logs.
     # Observe mode records; strict mode raises on the first error here.

@@ -27,6 +27,20 @@ class TestClasses:
             cfg.commuter_fraction, abs=0.04)
         assert census["stationary"] > 700
 
+    def test_all_zero_fractions_skip_the_walk(self, system):
+        population = store_population(system, 300)
+        still = MobilityConfig(commuter_fraction=0.0, roamer_fraction=0.0,
+                               traveler_fraction=0.0)
+        pushes = system.sim.heap_pushes
+        census = MobilityModel(system, still).apply(population, 5.0)
+        assert census == {"stationary": 300, "commuter": 0, "roamer": 0,
+                          "traveler": 0}
+        assert system.sim.heap_pushes == pushes
+        assert population.store.materialized_count() == 0
+        # The walk would have drawn the same census.
+        walker = MobilityModel(system, still)
+        assert all(walker._draw_class() == "stationary" for _ in range(300))
+
     def test_invalid_fractions_rejected(self):
         with pytest.raises(ValueError):
             MobilityConfig(commuter_fraction=0.9, roamer_fraction=0.2)

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import NetSessionSystem
+from repro.net.sim import Simulator
 from repro.workload.catalog import CatalogConfig, build_catalog
 from repro.workload.population import (
-    DAY, PopulationConfig, build_population, diurnal_rate,
+    DAY, PopulationConfig, _schedule_peer_days, build_population,
+    diurnal_rate,
 )
 
 
@@ -80,6 +84,64 @@ class TestSessions:
         for i, peer in enumerate(population.iter_peers()):
             if always_on[i]:
                 assert peer.online
+
+
+class _LoggingPeer:
+    """Stands in for a peer: logs each lifecycle call with its sim time."""
+
+    def __init__(self, sim: Simulator, log: list):
+        self.sim, self.log = sim, log
+
+    def boot(self):
+        self.log.append(("boot", self.sim.now))
+
+    def go_offline(self):
+        self.log.append(("offline", self.sim.now))
+
+
+def _days_queued(seed, tz, skip_prob, until):
+    """(events in pop order, RNG end state, heap pushes) for one peer."""
+    sim = Simulator()
+    log: list = []
+    rng = random.Random(seed)
+    _schedule_peer_days(SimpleNamespace(sim=sim), _LoggingPeer(sim, log), tz,
+                        8 * 3600.0, rng, skip_prob=skip_prob, until=until)
+    pushes = sim.heap_pushes
+    sim.run()
+    return log, rng.getstate(), pushes
+
+
+class TestSessionHorizon:
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1),
+           tz=st.floats(-12 * 3600.0, 12 * 3600.0),
+           skip_prob=st.sampled_from([0.0, 0.12, 0.6]),
+           until=st.floats(0.0, 41 * DAY))
+    def test_until_clips_the_queue_not_the_draws(self, seed, tz, skip_prob,
+                                                 until):
+        full, full_state, _ = _days_queued(seed, tz, skip_prob, None)
+        clipped, state, pushes = _days_queued(seed, tz, skip_prob, until)
+        assert state == full_state
+        assert clipped == [e for e in full if e[1] <= until]
+        assert pushes == len(clipped)
+
+    def test_build_population_until_keeps_the_trace(self):
+        def build(until):
+            system = NetSessionSystem(seed=5)
+            catalog = build_catalog(random.Random(1),
+                                    CatalogConfig(objects_per_provider=10))
+            build_population(system, catalog.providers,
+                             PopulationConfig(n_peers=150), until=until)
+            return system
+
+        horizon = 1.5 * DAY
+        full, clipped = build(None), build(horizon)
+        assert clipped.sim.heap_pushes < full.sim.heap_pushes
+        for system in (full, clipped):
+            system.run(until=horizon)
+        assert clipped.logstore.logins == full.logstore.logins
+        assert clipped.online_peer_count() == full.online_peer_count()
+        assert clipped.rng.getstate() == full.rng.getstate()
 
 
 class TestDiurnal:
